@@ -2,6 +2,7 @@
 //
 //   ./quickstart --n 16 --a0-scale 1.0 --delay exponential --seed 42
 //   ./quickstart --n 12 --runtime thread   # same election, real OS threads
+//   ./quickstart --n 12 --runtime udp      # ... over loopback datagrams
 //
 // Builds a ring of anonymous nodes whose channels have exponentially
 // distributed delays (mean 1 — the known bound δ), runs the paper's
@@ -9,8 +10,9 @@
 //
 // The execution goes through the unified Runtime contract
 // (runtime/runtime.h): the identical ring-election AlgorithmDriver runs on
-// the deterministic discrete-event simulator or on one OS thread per node
-// with wall-clock delays — pick with --runtime.
+// the deterministic discrete-event simulator, on one OS thread per node
+// with wall-clock delays, or over real loopback UDP datagrams — pick with
+// --runtime.
 #include <cstdio>
 #include <string>
 
@@ -30,17 +32,15 @@ int main(int argc, char** argv) {
 
   abe::RuntimeKind runtime = abe::RuntimeKind::kSim;
   if (!abe::runtime_kind_from_name(runtime_name, &runtime)) {
-    std::fprintf(stderr, "unknown runtime '%s'; known: sim thread\n",
+    std::fprintf(stderr, "unknown runtime '%s'; known: sim thread udp\n",
                  runtime_name.c_str());
     return 2;
   }
 
-  if (runtime == abe::RuntimeKind::kThread &&
-      n > abe::kMaxThreadRuntimeNodes) {
-    std::fprintf(stderr,
-                 "--runtime thread spawns one OS thread per node; max n is "
-                 "%zu\n",
-                 abe::kMaxThreadRuntimeNodes);
+  const abe::NodeBudget budget = abe::runtime_node_budget(runtime);
+  if (n > budget.max_nodes) {
+    std::fprintf(stderr, "--runtime %s needs %s; max n is %zu\n",
+                 runtime_name.c_str(), budget.per_node, budget.max_nodes);
     return 2;
   }
 

@@ -8,13 +8,13 @@
 // runs here unchanged — a fidelity check that nothing in the results depends
 // on simulator artefacts. Since the Runtime redesign the harness below is a
 // thin shim over the unified contract: the ring-election AlgorithmDriver
-// (core/harness.h) executed by ThreadRuntime (runtime/runtime.h), with
-// optional failure injection (--loss) that the thread runtime now honors
+// (core/harness.h) executed by ThreadedRuntime (runtime/threaded_runtime.h),
+// with optional failure injection (--loss) that the thread runtime honors
 // and counts.
 #include <cstdio>
 
 #include "core/election.h"
-#include "runtime/runtime.h"
+#include "runtime/threaded_runtime.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
@@ -26,9 +26,11 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
-  if (n > abe::kMaxThreadRuntimeNodes) {
-    std::fprintf(stderr, "one OS thread per node; max n is %zu\n",
-                 abe::kMaxThreadRuntimeNodes);
+  const abe::NodeBudget budget =
+      abe::runtime_node_budget(abe::RuntimeKind::kThread);
+  if (n > budget.max_nodes) {
+    std::fprintf(stderr, "%s; max n is %zu\n", budget.per_node,
+                 budget.max_nodes);
     return 2;
   }
   if (loss < 0.0 || loss >= 1.0) {

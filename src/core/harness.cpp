@@ -112,11 +112,11 @@ class RingElectionDriver final : public AlgorithmDriver {
           return out;
         }
       }
-      if (rt.kind() == RuntimeKind::kThread) {
-        // Wall-clock timeouts are diagnosed post mortem ("how far did it
-        // get before the budget expired?"), so report the progress
-        // counters; the simulator keeps the historical zeros — failed
-        // trials never feed aggregates there.
+      if (rt.kind() != RuntimeKind::kSim) {
+        // Wall-clock timeouts (thread and udp) are diagnosed post mortem
+        // ("how far did it get before the budget expired?"), so report the
+        // progress counters; the simulator keeps the historical zeros —
+        // failed trials never feed aggregates there.
         const RunStats stats = rt.stats();
         sink_->messages = stats.messages_sent;
         sink_->messages_total = stats.messages_sent;

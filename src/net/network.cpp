@@ -111,12 +111,7 @@ Network::Network(NetworkConfig config)
   const std::size_t n = config_.topology.n;
   out_channels_ = out_adjacency(config_.topology);
   in_channels_ = in_adjacency(config_.topology);
-  in_index_of_edge_.assign(config_.topology.edges.size(), 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::size_t k = 0; k < in_channels_[v].size(); ++k) {
-      in_index_of_edge_[in_channels_[v][k]] = k;
-    }
-  }
+  in_index_of_edge_ = in_index_of_edge(config_.topology);
   channels_.resize(config_.topology.edges.size());
   for (auto& ch : channels_) {
     ch.delay = config_.delay;

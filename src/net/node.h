@@ -2,11 +2,12 @@
 //
 // Algorithms (the ABE election, baselines, synchronizers) implement Node and
 // interact with the world only through Context. Two runtimes provide
-// Context: the discrete-event simulator (net/network.h) and the real-thread
-// runtime (runtime/thread_net.h), so the same algorithm object runs on both.
-// The `Runtime` contract (runtime/runtime.h) unifies the two behind one
-// lifecycle — algorithms packaged as AlgorithmDrivers execute on either
-// substrate, and the scenario engine sweeps them across both.
+// Context: the discrete-event simulator (net/network.h) and the threaded
+// runtime (runtime/threaded_runtime.h, over in-process mailboxes or loopback
+// datagrams), so the same algorithm object runs on every substrate. The
+// `Runtime` contract (runtime/runtime.h) unifies them behind one lifecycle —
+// algorithms packaged as AlgorithmDrivers execute on any substrate, and the
+// scenario engine sweeps them across all of them.
 //
 // Anonymity: a node never learns a global identifier through this interface —
 // it sees only its local in/out channel indices — matching the anonymous-ring

@@ -218,6 +218,17 @@ std::vector<std::vector<std::size_t>> in_adjacency(const Topology& t) {
   return adj;
 }
 
+std::vector<std::size_t> in_index_of_edge(const Topology& t) {
+  // in_adjacency lists each node's in-edges in edge order, so an edge's
+  // position there is the number of earlier edges into the same node.
+  std::vector<std::size_t> seen(t.n, 0);
+  std::vector<std::size_t> index(t.edges.size());
+  for (std::size_t e = 0; e < t.edges.size(); ++e) {
+    index[e] = seen[t.edges[e].to]++;
+  }
+  return index;
+}
+
 namespace {
 
 // BFS reachability over directed edges (forward or reversed).

@@ -76,6 +76,9 @@ Topology random_geometric(std::size_t n, double radius, Rng& rng,
 // outgoing edges, in edge order. in_adjacency is the analogue for incoming.
 std::vector<std::vector<std::size_t>> out_adjacency(const Topology& t);
 std::vector<std::vector<std::size_t>> in_adjacency(const Topology& t);
+// Edge id -> its position in in_adjacency(t)[edge.to]: the in-channel
+// index a receiver's on_message sees for a message on that edge.
+std::vector<std::size_t> in_index_of_edge(const Topology& t);
 
 // Kosaraju-style check that every node reaches every other.
 bool is_strongly_connected(const Topology& t);

@@ -1,4 +1,4 @@
-// The unified Runtime contract: one execution API over both substrates.
+// The unified Runtime contract: one execution API over every substrate.
 //
 // The paper's ABE model sits *between* pure asynchrony and real networks, so
 // conclusions drawn from the discrete-event simulator should be checkable
@@ -8,22 +8,23 @@
 //   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
 //     delay model, clock bounds/drift, processing, failure injection, ticks,
 //     seed) plus the per-substrate realisation knobs (equeue backend for the
-//     simulator; wall time scale and budget for threads);
+//     simulator; wall time scale and budget for the threaded runtime);
 //   * Runtime — one lifecycle (build nodes → start → run to a completion
 //     predicate or deadline → settle/drain → stop → inspect), implemented by
-//       - SimRuntime    wrapping Scheduler+Network  (net/network.h),
-//       - ThreadRuntime wrapping ThreadNetwork      (runtime/thread_net.h),
-//       - UdpRuntime    wrapping UdpNetwork         (runtime/udp_runtime.h,
-//         real loopback datagrams with measured delays);
+//       - SimRuntime wrapping Scheduler+Network (net/network.h),
+//       - ThreadedRuntime (runtime/threaded_runtime.h): one dispatcher
+//         thread per node over one of two transports — in-process mailboxes
+//         (kThread) or real loopback datagrams with measured delays (kUdp,
+//         runtime/udp_transport.h);
 //   * RunStats — the uniform harvest (messages sent/delivered/dropped, ticks,
 //     clock reading, per-node terminated flags);
-//   * AlgorithmDriver — what an algorithm must provide to run on either
+//   * AlgorithmDriver — what an algorithm must provide to run on any
 //     substrate: a node factory, a done-predicate, and result extraction.
-//     run_algorithm_trial() executes a driver on either runtime.
+//     run_algorithm_trial() executes a driver on any runtime.
 //
 // Determinism contract: on the simulator the driver lifecycle makes the
 // exact same Network calls the pre-Runtime per-algorithm runners made, so
-// seeded aggregates are bit-identical across the redesign. The thread
+// seeded aggregates are bit-identical across the redesign. The threaded
 // runtime is wall-clock driven and intentionally nondeterministic — parity
 // there means model-level postconditions (leader uniqueness, dissemination,
 // message counts in the same regime), never traces.
@@ -40,7 +41,6 @@
 #include "obs/causal.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "runtime/thread_net.h"
 #include "trace/trace.h"
 
 namespace abe {
@@ -51,7 +51,7 @@ namespace abe {
 enum class RuntimeKind : std::uint8_t {
   kSim,     // discrete-event simulator (deterministic, any n)
   kThread,  // one OS thread per node, wall-clock delays (fidelity check)
-  kUdp,     // real loopback UDP datagrams, measured delays (udp_runtime.h)
+  kUdp,     // real loopback UDP datagrams, measured delays (udp_transport.h)
 };
 
 const char* runtime_kind_name(RuntimeKind kind);
@@ -63,16 +63,18 @@ bool runtime_kind_from_name(const std::string& name, RuntimeKind* out);
 // Configuration
 
 // Everything a runtime needs to realise one trial environment. Field-level
-// comments live with the originating structs (NetworkConfig,
-// ThreadNetConfig); this is their union, with substrate-only knobs marked.
+// comments for the simulator live with NetworkConfig; the threaded runtime
+// reads this struct directly. Substrate-only knobs are marked.
 struct RuntimeConfig {
   Topology topology;
   DelayModelPtr delay;  // failure-degrade wrapping already applied
   // When set, overrides `delay` for every channel: the adversary chooses
   // each message's delay (stateful, edge-aware) instead of sampling the
   // model. Build only via make_bounded_adversary (adversary/delay_policy.h),
-  // which enforces the ABE empirical-mean bound per channel. Both runtimes
-  // honor it; nullptr keeps the honest sampling path byte-for-byte.
+  // which enforces the ABE empirical-mean bound per channel. Every runtime
+  // honors it (threaded: policies are called concurrently from dispatcher
+  // threads and synchronise internally); nullptr keeps the honest sampling
+  // path byte-for-byte.
   AdversaryPolicyPtr adversary_delay;
   ChannelOrdering ordering = ChannelOrdering::kArbitrary;  // sim only
   ClockBounds clock_bounds{};
@@ -80,15 +82,16 @@ struct RuntimeConfig {
   ProcessingModel processing = ProcessingModel::zero();
   bool enable_ticks = false;
   double tick_local_period = 1.0;
-  // Per-attempt silent drop (FailureProfile::channel_loss). Both runtimes
-  // honor it and count drops in RunStats.messages_dropped.
+  // Per-attempt silent drop (FailureProfile::channel_loss). Every runtime
+  // honors it and counts drops in RunStats.messages_dropped (udp with ARQ:
+  // the wire attempt is suppressed and retransmitted instead).
   double loss_probability = 0.0;
   std::uint64_t seed = 1;
   // Give up past this simulated time (thread: scaled to a wall budget and
   // clamped by wall_timeout_ms).
   SimTime deadline = 1e7;
   EqueueBackend equeue = EqueueBackend::kAuto;  // sim only
-  // Full-detail tracing on either substrate (the flight recorder itself is
+  // Full-detail tracing on any substrate (the flight recorder itself is
   // always on at small capacity; this raises capacity and records payload
   // strings). See trace/trace.h.
   bool trace = false;
@@ -114,7 +117,7 @@ struct RuntimeConfig {
   double wall_timeout_ms = 30000.0;
   // --- udp-runtime realisation (ignored elsewhere) -----------------------
   // Per-channel ARQ reliable mode: sequence numbers, ACKs, timeout
-  // retransmission, receiver dedup (runtime/udp_runtime.h). Injected loss
+  // retransmission, receiver dedup (runtime/udp_transport.h). Injected loss
   // then degrades goodput instead of dropping messages.
   bool udp_reliable = false;
 };
@@ -130,7 +133,7 @@ struct RunStats {
   SimTime now = 0.0;  // runtime clock at the moment of sampling
   std::vector<bool> terminated;  // per-node snapshot
 
-  // On a RUNNING thread runtime the three counters are sampled by separate
+  // On a RUNNING threaded runtime the three counters are sampled by separate
   // atomic loads — no consistent snapshot — so cross-counter arithmetic
   // like this can transiently read zero while messages are in flight.
   // Treat it as exact only after stop() or a successful drain() (which
@@ -228,7 +231,7 @@ class Runtime {
   virtual bool run_until_done(const std::function<bool()>& done,
                               SimTime deadline) = 0;
   // Lets the network run for `duration` more sim units (settle windows).
-  // The thread runtime floors this at kMinSettleWallMs of wall time — OS
+  // The threaded runtime floors this at kMinSettleWallMs of wall time — OS
   // scheduling jitter makes shorter windows meaningless there.
   virtual void run_for(SimTime duration) = 0;
   // Runs until no messages are in flight or being handled (quiescence for
@@ -246,7 +249,7 @@ class Runtime {
   // runtimes (atomic on threads).
   virtual bool terminated(std::size_t i) const = 0;
   // Node state. Safe any time on the simulator; only after stop() on the
-  // thread runtime (state is owned by the node's thread while running).
+  // threaded runtime (state is owned by the node's thread while running).
   virtual Node& node(std::size_t i) = 0;
   virtual RunStats stats() const = 0;
   // Deterministic-by-name metrics harvest (obs/metrics.h). Simulator
@@ -262,7 +265,7 @@ class Runtime {
   virtual TimeSeries timeseries_snapshot() const { return TimeSeries{}; }
 };
 
-// Minimum wall window ThreadRuntime::run_for realises (see run_for).
+// Minimum wall window ThreadedRuntime::run_for realises (see run_for).
 constexpr double kMinSettleWallMs = 100.0;
 
 // Node cap for the thread runtime: one OS thread per node.
@@ -272,6 +275,16 @@ constexpr std::size_t kMaxThreadRuntimeNodes = 256;
 // plus TWO OS threads (reader + dispatcher) per node, so its budget is
 // tighter than the thread runtime's.
 constexpr std::size_t kMaxUdpRuntimeNodes = 128;
+
+// The per-node OS resource budget of one substrate: the largest n it
+// accepts and what each node costs. The one lookup every node-count gate
+// (make_runtime, runtime_cell_problem, the example CLIs) reads; the
+// simulator has no structural cap.
+struct NodeBudget {
+  std::size_t max_nodes;
+  const char* per_node;  // e.g. "one OS thread per node"
+};
+NodeBudget runtime_node_budget(RuntimeKind kind);
 
 // ---------------------------------------------------------------------------
 // Concrete runtimes
@@ -312,47 +325,7 @@ class SimRuntime final : public Runtime {
   Network net_;
 };
 
-class ThreadRuntime final : public Runtime {
- public:
-  explicit ThreadRuntime(RuntimeConfig config);
-
-  RuntimeKind kind() const override { return RuntimeKind::kThread; }
-  std::size_t size() const override { return net_.size(); }
-  void build_nodes(
-      const std::function<NodePtr(std::size_t)>& factory) override;
-  void start() override;
-  bool run_until_done(const std::function<bool()>& done,
-                      SimTime deadline) override;
-  void run_for(SimTime duration) override;
-  bool drain(SimTime max_wait) override;
-  void stop() override;
-  SimTime now() const override;
-  bool terminated(std::size_t i) const override { return net_.terminated(i); }
-  Node& node(std::size_t i) override { return net_.node(i); }
-  RunStats stats() const override;
-  MetricsSnapshot metrics_snapshot() const override {
-    return net_.metrics_snapshot();
-  }
-  Trace trace_snapshot() const override { return net_.trace_copy(); }
-
-  ThreadNetwork& thread_network() { return net_; }
-
- private:
-  static ThreadNetConfig to_thread_config(const RuntimeConfig& config);
-  // Wall milliseconds left of the per-trial budget (≥ 1 so waits with an
-  // exhausted budget still poll the predicate once).
-  double remaining_budget_ms() const;
-
-  double time_scale_us_;
-  double wall_timeout_ms_;
-  ThreadNetwork net_;
-  std::chrono::steady_clock::time_point wall_deadline_{};
-  bool started_ = false;
-  bool stopped_ = false;
-  SimTime stop_time_ = 0.0;
-};
-
-// Constructs the runtime for `kind`. Thread-runtime structural limits
+// Constructs the runtime for `kind`. Threaded-runtime structural limits
 // (piecewise drift, node cap) abort here — gate user input with
 // runtime_cell_problem (scenario/scenario.h) first.
 std::unique_ptr<Runtime> make_runtime(RuntimeKind kind, RuntimeConfig config);

@@ -419,36 +419,21 @@ std::string behavior_cell_problem(const ScenarioSpec& spec) {
 
 std::string runtime_cell_problem(const ScenarioSpec& spec) {
   if (spec.runtime == RuntimeKind::kSim) return "";
-  const bool udp = spec.runtime == RuntimeKind::kUdp;
+  const std::string name = runtime_kind_name(spec.runtime);
   if (spec.drift == DriftModel::kPiecewiseRandom) {
-    if (udp) {
-      return "udp runtime realises clocks as scaled wall time; "
-             "piecewise-random drift is impossible there (use kNone or "
-             "kFixedRandomRate)";
-    }
-    return "thread runtime realises clocks as scaled wall time; "
-           "piecewise-random drift is impossible there (use kNone or "
-           "kFixedRandomRate)";
+    return name +
+           " runtime realises clocks as scaled wall time; piecewise-random "
+           "drift is impossible there (use kNone or kFixedRandomRate)";
   }
   if (spec.equeue != EqueueBackend::kAuto) {
-    if (udp) {
-      return "the event-queue backend is a simulator scheduler knob; udp "
-             "cells must keep equeue=auto";
-    }
-    return "the event-queue backend is a simulator scheduler knob; thread "
-           "cells must keep equeue=auto";
+    return "the event-queue backend is a simulator scheduler knob; " + name +
+           " cells must keep equeue=auto";
   }
-  if (udp) {
-    if (spec.topology.n > kMaxUdpRuntimeNodes) {
-      return "n=" + std::to_string(spec.topology.n) +
-             " exceeds the per-node socket/port budget (max " +
-             std::to_string(kMaxUdpRuntimeNodes) +
-             ": one loopback socket and two OS threads per node)";
-    }
-  } else if (spec.topology.n > kMaxThreadRuntimeNodes) {
-    return "n=" + std::to_string(spec.topology.n) +
-           " exceeds the one-OS-thread-per-node budget (max " +
-           std::to_string(kMaxThreadRuntimeNodes) + ")";
+  const NodeBudget budget = runtime_node_budget(spec.runtime);
+  if (spec.topology.n > budget.max_nodes) {
+    return "n=" + std::to_string(spec.topology.n) + " exceeds the " + name +
+           " runtime's node budget (max " + std::to_string(budget.max_nodes) +
+           ": " + budget.per_node + ")";
   }
   if (spec.thread_time_scale_us <= 0.0 || spec.thread_wall_timeout_ms <= 0.0) {
     return "thread_time_scale_us and thread_wall_timeout_ms must be > 0";

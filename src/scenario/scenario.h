@@ -199,7 +199,7 @@ struct ScenarioSpec {
   // simulator deadlines like 1e7 units verbatim).
   double thread_time_scale_us = 200.0;
   double thread_wall_timeout_ms = 30000.0;
-  // Udp cells only: per-channel ARQ reliable mode (runtime/udp_runtime.h —
+  // Udp cells only: per-channel ARQ reliable mode (runtime/udp_transport.h —
   // sequence numbers, ACKs, timeout retransmission, receiver dedup), so
   // injected loss degrades goodput instead of dropping messages. Part of
   // cell_id() ("/arq") because it changes what the cell measures.
@@ -231,12 +231,11 @@ struct ScenarioSpec {
 };
 
 // Why this cell cannot run on its selected runtime — empty when it can.
-// Simulator cells always can; thread cells are rejected for piecewise
-// drift (wall clocks can only realise fixed rates), pinned event-queue
-// backends (a simulator-only knob), or n beyond the one-OS-thread-per-node
-// budget (kMaxThreadRuntimeNodes). Udp cells share the drift and equeue
-// rejections and have the tighter per-node socket/port budget
-// (kMaxUdpRuntimeNodes: one loopback socket + two OS threads per node).
+// Simulator cells always can; thread and udp cells are rejected for
+// piecewise drift (wall clocks can only realise fixed rates), pinned
+// event-queue backends (a simulator-only knob), or n beyond the substrate's
+// runtime_node_budget (kMaxThreadRuntimeNodes: one OS thread per node;
+// kMaxUdpRuntimeNodes: one loopback socket + two OS threads per node).
 // The validation boundary for user input (CLI --runtime), where aborting
 // is rude; mirrors TopologySpec::problem.
 std::string runtime_cell_problem(const ScenarioSpec& spec);

@@ -234,7 +234,7 @@ void check_chain_structure(const CriticalPath& path) {
 }
 
 TEST(CriticalPath, CausalLinksParityAcrossRuntimes) {
-  // Both substrates stamp the same send->deliver and schedule->fire links:
+  // Every substrate stamps the same send->deliver and schedule->fire links:
   // a decision-terminated chain exists on each, with identical structural
   // invariants. (Wall-clock timing differs by design, so the parity is
   // structural, not bit-exact — the simulator side additionally keeps the
@@ -245,7 +245,8 @@ TEST(CriticalPath, CausalLinksParityAcrossRuntimes) {
   spec.thread_time_scale_us = 100.0;
   spec.thread_wall_timeout_ms = 10000.0;
 
-  for (const RuntimeKind runtime : {RuntimeKind::kSim, RuntimeKind::kThread}) {
+  for (const RuntimeKind runtime :
+       {RuntimeKind::kSim, RuntimeKind::kThread, RuntimeKind::kUdp}) {
     spec.runtime = runtime;
     ASSERT_EQ(runtime_cell_problem(spec), "");
     // Mirrors run_scenario_trial's per-trial topology substream.
@@ -274,7 +275,7 @@ TEST(CriticalPath, CausalLinksParityAcrossRuntimes) {
         decided.events(), NodeId{outcome.decision_node}, outcome.time);
     SCOPED_TRACE(runtime_kind_name(runtime));
     check_chain_structure(path);
-    EXPECT_FALSE(path.truncated);  // causal_history widens both rings
+    EXPECT_FALSE(path.truncated);  // causal_history widens every ring
     EXPECT_GE(path.hops, 1u);
     if (runtime == RuntimeKind::kSim) {
       EXPECT_DOUBLE_EQ(path.waiting + path.channel_delay + path.processing +

@@ -12,7 +12,7 @@
 #include "core/harness.h"
 #include "runtime/mailbox.h"
 #include "runtime/runtime.h"
-#include "runtime/thread_net.h"
+#include "runtime/threaded_runtime.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
 #include "scenario/sweep.h"
@@ -146,10 +146,11 @@ TEST(ThreadNet, LargerRingStillElects) {
 }
 
 TEST(ThreadNet, PiecewiseDriftRejected) {
-  ThreadNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(ThreadNetwork net(std::move(config)), "thread runtime");
+  EXPECT_DEATH(ThreadedRuntime net(RuntimeKind::kThread, std::move(config)),
+               "thread runtime");
 }
 
 // Simulator-vs-thread parity smoke (ROADMAP "thread runtime parity"): the
@@ -205,8 +206,8 @@ class TimerTerminator final : public Node {
   bool done_ = false;
 };
 
-ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
-  ThreadNetConfig config;
+RuntimeConfig two_node_config(double time_scale_us = 1000.0) {
+  RuntimeConfig config;
   config.topology = bidirectional_ring(2);
   config.time_scale_us = time_scale_us;
   config.drift = DriftModel::kNone;
@@ -214,7 +215,7 @@ ThreadNetConfig two_node_config(double time_scale_us = 1000.0) {
 }
 
 TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
-  ThreadNetwork net(two_node_config());
+  ThreadedRuntime net(RuntimeKind::kThread, two_node_config());
   net.build_nodes([](std::size_t) -> NodePtr {
     return std::make_unique<TimerTerminator>(1e9);
   });
@@ -230,7 +231,7 @@ TEST(ThreadNet, WaitUntilAlreadyTruePredicateReturnsImmediately) {
 // The regression the condition variable fixes: a predicate satisfied by a
 // node event must wake the waiter promptly, not after the wall timeout.
 TEST(ThreadNet, WaitUntilSatisfiedMidWaitReturnsPromptly) {
-  ThreadNetwork net(two_node_config());
+  ThreadedRuntime net(RuntimeKind::kThread, two_node_config());
   net.build_nodes([](std::size_t) -> NodePtr {
     // Timer fires at ~50 ms wall (50 sim units at 1000 us/unit).
     return std::make_unique<TimerTerminator>(50.0);
@@ -267,10 +268,10 @@ class Flooder final : public Node {
 };
 
 TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
-  ThreadNetConfig config = two_node_config(/*time_scale_us=*/100.0);
+  RuntimeConfig config = two_node_config(/*time_scale_us=*/100.0);
   config.loss_probability = 0.3;
   config.delay = fixed_delay(0.1);
-  ThreadNetwork net(std::move(config));
+  ThreadedRuntime net(RuntimeKind::kThread, std::move(config));
   net.build_nodes([](std::size_t i) -> NodePtr {
     return std::make_unique<Flooder>(i == 0 ? 400 : 0);
   });
@@ -283,6 +284,34 @@ TEST(ThreadNet, LossInjectionCountsDropsAndConservesMessages) {
   EXPECT_LT(net.messages_dropped(), 400u);
   EXPECT_EQ(net.messages_sent(),
             net.messages_delivered() + net.messages_dropped());
+}
+
+// A wall-clock trial that runs out of budget still reports how far it got:
+// the ring driver fills in the progress counters (ticks, messages, elapsed
+// time) on every non-simulator runtime, not just on threads.
+TEST(ThreadNet, TimedOutRingTrialReportsProgressOnEveryWallClockKind) {
+  for (const RuntimeKind kind : {RuntimeKind::kThread, RuntimeKind::kUdp}) {
+    SCOPED_TRACE(runtime_kind_name(kind));
+    ElectionExperiment experiment;
+    experiment.n = 4;
+    // No node can wake up before the 50-unit deadline, so the trial must
+    // time out while the tick generators keep running.
+    experiment.election.a0 = 1e-12;
+    experiment.drift = DriftModel::kFixedRandomRate;
+    experiment.deadline = 50.0;
+    RuntimeConfig config = election_runtime_config(experiment);
+    config.time_scale_us = 200.0;
+    config.wall_timeout_ms = 10000.0;
+
+    ElectionRunResult run;
+    const auto driver = make_ring_election_driver(experiment, &run);
+    const TrialOutcome outcome =
+        run_algorithm_trial(kind, std::move(config), *driver);
+    ASSERT_FALSE(outcome.completed);
+    EXPECT_FALSE(run.elected);
+    EXPECT_GT(run.ticks, 0u);
+    EXPECT_GT(run.election_time, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -303,10 +332,6 @@ struct ParityCase {
   // starve the election — but a completed trial must still elect exactly
   // one leader on EVERY substrate. That is the safety property under test.
   const char* behavior = "honest";
-  // Run the real-socket leg too (sim × thread × udp). Lossy udp cells run
-  // the ARQ reliable channel, so they complete rather than stall — real
-  // loss is masked, not simulated away.
-  bool udp = false;
 };
 
 class CrossRuntimeParity : public ::testing::TestWithParam<ParityCase> {};
@@ -366,27 +391,30 @@ TEST_P(CrossRuntimeParity, CompletedTrialsAreSafeAndMessagesComparable) {
   }
 
   // Udp side: two real-datagram trials. Lossy cells ride the ARQ reliable
-  // channel, so completion is expected, not merely tolerated.
+  // channel, so honest cells must complete — real loss is masked, not
+  // simulated away; adversarial cells may stall exactly as on threads.
   Summary udp_messages;
-  if (c.udp) {
-    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      spec.runtime = RuntimeKind::kUdp;
-      spec.udp_reliable = c.loss > 0.0;
-      ASSERT_EQ(runtime_cell_problem(spec), "");
-      const ScenarioTrialResult trial = run_scenario_trial(spec, seed);
-      ASSERT_TRUE(trial.completed)
+  for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+    spec.runtime = RuntimeKind::kUdp;
+    spec.udp_reliable = c.loss > 0.0;
+    ASSERT_EQ(runtime_cell_problem(spec), "");
+    const ScenarioTrialResult trial = run_scenario_trial(spec, seed);
+    if (!trial.completed) {
+      ASSERT_TRUE(adversarial)
           << "udp trial (ARQ masks loss) did not complete, seed=" << seed;
-      EXPECT_TRUE(trial.safety_ok) << "seed=" << seed << ": "
-                                   << trial.safety_detail;
-      EXPECT_GE(trial.messages, n - 1);
-      udp_messages.add(static_cast<double>(trial.messages));
+      continue;
     }
+    EXPECT_TRUE(trial.safety_ok) << "seed=" << seed << ": "
+                                 << trial.safety_detail;
+    EXPECT_GE(trial.messages, n - 1);
+    udp_messages.add(static_cast<double>(trial.messages));
   }
 
   if (c.loss == 0.0 && !adversarial) {
     // Reliable honest cells must complete everywhere.
     EXPECT_EQ(sim_messages.count(), 6u);
     EXPECT_EQ(thread_messages.count(), 2u);
+    EXPECT_EQ(udp_messages.count(), 2u);
   }
   const auto comparable = [&](const char* name, const Summary& other) {
     // Same algorithm, same graph, same model regime: per-trial message
@@ -406,14 +434,12 @@ TEST_P(CrossRuntimeParity, CompletedTrialsAreSafeAndMessagesComparable) {
 INSTANTIATE_TEST_SUITE_P(
     RingAndPolling, CrossRuntimeParity,
     ::testing::Values(
-        ParityCase{"ring_reliable", ScenarioAlgorithm::kRingElection, 0.0,
-                   "honest", /*udp=*/true},
-        ParityCase{"ring_lossy", ScenarioAlgorithm::kRingElection, 0.01,
-                   "honest", /*udp=*/true},
+        ParityCase{"ring_reliable", ScenarioAlgorithm::kRingElection, 0.0},
+        ParityCase{"ring_lossy", ScenarioAlgorithm::kRingElection, 0.01},
         ParityCase{"polling_reliable", ScenarioAlgorithm::kPollingElection,
-                   0.0, "honest", /*udp=*/true},
+                   0.0},
         ParityCase{"polling_lossy", ScenarioAlgorithm::kPollingElection,
-                   0.01, "honest", /*udp=*/true},
+                   0.01},
         ParityCase{"ring_equivocate", ScenarioAlgorithm::kRingElection, 0.0,
                    "equivocate-1"},
         ParityCase{"ring_reorder", ScenarioAlgorithm::kRingElection, 0.0,
@@ -479,7 +505,7 @@ TEST(CrossRuntimeParity, TraceSendDeliverCountsMatchStats) {
 // read shared by the phase before and after it, and total_ms is measured
 // between the first and last of those same reads — so build + run +
 // settle must equal total up to floating-point summation on every
-// substrate. (The regression this pins: ThreadRuntime::start() used to
+// substrate. (The regression this pins: the thread runtime's start() used to
 // take a second clock read for its wall deadline, and total was not
 // measured at all.)
 TEST(CrossRuntimeParity, WallPhaseTimesSumToTotal) {

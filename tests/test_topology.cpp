@@ -236,10 +236,13 @@ TEST(Topology, OneWayPairNotStronglyConnected) {
 TEST(Topology, InIndexMappingConsistent) {
   const Topology t = grid(2, 3);
   const auto in = in_adjacency(t);
+  const auto in_index = in_index_of_edge(t);
   std::set<std::size_t> all_edges;
   for (std::size_t v = 0; v < t.n; ++v) {
-    for (std::size_t e : in[v]) {
+    for (std::size_t k = 0; k < in[v].size(); ++k) {
+      const std::size_t e = in[v][k];
       EXPECT_EQ(t.edges[e].to, v);
+      EXPECT_EQ(in_index[e], k) << "edge " << e;
       all_edges.insert(e);
     }
   }

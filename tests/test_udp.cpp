@@ -1,4 +1,4 @@
-// Tests for the real-socket runtime (runtime/udp_runtime.h): the UdpSocket
+// Tests for the real-socket runtime (runtime/udp_transport.h): the UdpSocket
 // wrapper, datagram elections through the scenario driver stack, the ARQ
 // reliable layer under injected per-attempt loss (exactly-once delivery),
 // the measured-transit histogram, and the measured-delay -> DelayModel
@@ -16,7 +16,8 @@
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "runtime/runtime.h"
-#include "runtime/udp_runtime.h"
+#include "runtime/threaded_runtime.h"
+#include "runtime/udp_transport.h"
 #include "runtime/udp_socket.h"
 #include "scenario/drivers.h"
 #include "scenario/scenario.h"
@@ -125,14 +126,14 @@ class CountingSink final : public Node {
 
 TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   constexpr std::uint64_t kMessages = 300;
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(2);
   config.delay = fixed_delay(0.05);
   config.time_scale_us = 100.0;
   config.loss_probability = 0.3;  // drawn per ATTEMPT, masked by ARQ
-  config.reliable = true;
+  config.udp_reliable = true;
   config.seed = 3;  // pinned: the attempt-loss coin sequence is replayable
-  UdpNetwork net(std::move(config));
+  ThreadedRuntime net(RuntimeKind::kUdp, std::move(config));
   net.build_nodes([&](std::size_t i) -> NodePtr {
     if (i == 0) return std::make_unique<Burster>(kMessages);
     return std::make_unique<CountingSink>();
@@ -229,10 +230,11 @@ TEST(UdpNet, OverSocketBudgetCellIsRejectedStructurally) {
 }
 
 TEST(UdpNet, PiecewiseDriftRejected) {
-  UdpNetConfig config;
+  RuntimeConfig config;
   config.topology = unidirectional_ring(3);
   config.drift = DriftModel::kPiecewiseRandom;
-  EXPECT_DEATH(UdpNetwork net(std::move(config)), "udp runtime");
+  EXPECT_DEATH(ThreadedRuntime net(RuntimeKind::kUdp, std::move(config)),
+               "udp runtime");
 }
 
 TEST(UdpNet, ArqSuffixAppearsOnlyOnReliableUdpCells) {
