@@ -131,6 +131,10 @@ struct HarshCase {
   ProcessingModel processing;
 };
 
+// Without this gtest prints the raw bytes of the case, including the `name`
+// pointer, so the listed test names would change with every load address.
+void PrintTo(const HarshCase& c, std::ostream* os) { *os << c.name; }
+
 class ElectionHarshEnvironment : public ::testing::TestWithParam<HarshCase> {
 };
 
