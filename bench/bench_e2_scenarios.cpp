@@ -3,9 +3,8 @@
 // Paper context: the "deterministic election ⇒ polling" theorem forces a
 // Θ(n) tree broadcast/echo on every run; this bench runs those cells on the
 // torus and random-geometric families at n ∈ {64, 256, 1024} — the
-// mesh-shaped workloads the ROADMAP's calendar/ladder-queue scheduler work
-// needs to profile against (message-driven event mixes over thousands of
-// channels, no tick trains).
+// mesh-shaped workloads the scheduler is profiled against (message-driven
+// event mixes over thousands of channels, no tick trains).
 //
 // The table reports messages and simulated completion time per cell; the
 // microbenchmarks time one full trial per iteration (items/s = trials/s)

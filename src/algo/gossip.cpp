@@ -120,7 +120,6 @@ RuntimeConfig gossip_runtime_config(const GossipExperiment& experiment) {
   config.processing = experiment.processing;
   config.loss_probability = experiment.loss_probability;
   config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
   config.deadline = experiment.deadline;
   return config;
 }

@@ -70,8 +70,6 @@ struct GossipExperiment {
   // every tick, so lost rumors delay — not prevent — dissemination.
   double loss_probability = 0.0;
   std::uint64_t seed = 1;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
   SimTime deadline = 1e6;
 };
 

@@ -313,7 +313,6 @@ RuntimeConfig polling_runtime_config(const PollingExperiment& experiment) {
   config.processing = experiment.processing;
   config.loss_probability = experiment.loss_probability;
   config.seed = experiment.seed;
-  config.equeue = experiment.equeue;
   config.deadline = experiment.deadline;
   return config;
 }

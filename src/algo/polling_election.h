@@ -148,8 +148,6 @@ struct PollingExperiment {
   double loss_probability = 0.0;        // failure injection
   unsigned id_bits = 64;
   std::uint64_t seed = 1;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
   SimTime deadline = 1e7;
   // No settle knob: the protocol is purely message-driven, so after the
   // election the runner simply drains the queue to quiescence.

@@ -48,8 +48,6 @@ struct ElectionExperiment {
   // under attack: exactly one leader, and never two leaders ever.
   bool adversarial = false;
   std::uint64_t seed = 1;
-  // Event-queue backend (pure perf knob; results are bit-identical).
-  EqueueBackend equeue = EqueueBackend::kAuto;
   // Give up (and report failure) past this simulated time.
   SimTime deadline = 1e7;
   // Extra simulated time after the election used to confirm stability

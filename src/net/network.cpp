@@ -86,7 +86,6 @@ class Network::ContextImpl final : public Context {
 
 Network::Network(NetworkConfig config)
     : config_(std::move(config)),
-      scheduler_(config_.equeue),
       root_rng_(config_.seed),
       channel_rng_(root_rng_.substream("channels")) {
   validate_topology(config_.topology);
@@ -386,7 +385,7 @@ void Network::sample_timeseries() {
          timeseries_.samples.size() < TimeSeries::kMaxSamples) {
     TimeSeriesSample sample;
     sample.t = next_sample_;
-    sample.pending = static_cast<double>(scheduler_.pending());
+    sample.pending = static_cast<double>(scheduler_.live_count());
     sample.in_flight = static_cast<double>(metrics_.in_flight());
     std::uint64_t live = 0;
     for (const NodeSlot& slot : slots_) {

@@ -7,8 +7,8 @@
 //
 //   * RuntimeConfig — the runtime-agnostic experiment environment (topology,
 //     delay model, clock bounds/drift, processing, failure injection, ticks,
-//     seed) plus the per-substrate realisation knobs (equeue backend for the
-//     simulator; wall time scale and budget for the threaded runtime);
+//     seed) plus the per-substrate realisation knobs (channel ordering for
+//     the simulator; wall time scale and budget for the threaded runtime);
 //   * Runtime — one lifecycle (build nodes → start → run to a completion
 //     predicate or deadline → settle/drain → stop → inspect), implemented by
 //       - SimRuntime wrapping Scheduler+Network (net/network.h),
@@ -90,7 +90,6 @@ struct RuntimeConfig {
   // Give up past this simulated time (thread: scaled to a wall budget and
   // clamped by wall_timeout_ms).
   SimTime deadline = 1e7;
-  EqueueBackend equeue = EqueueBackend::kAuto;  // sim only
   // Full-detail tracing on any substrate (the flight recorder itself is
   // always on at small capacity; this raises capacity and records payload
   // strings). See trace/trace.h.

@@ -81,7 +81,7 @@ class ThreadedRuntime final : public Runtime {
   static constexpr std::int64_t kTransportTimerId = -2;
 
   // `kind` (kThread or kUdp) picks the transport and is what kind()
-  // reports. The simulator-only fields of `config` (ordering, equeue,
+  // reports. The simulator-only fields of `config` (ordering,
   // timeseries_interval) are ignored.
   ThreadedRuntime(RuntimeKind kind, RuntimeConfig config);
   ~ThreadedRuntime() override;

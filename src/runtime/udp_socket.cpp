@@ -69,6 +69,13 @@ bool UdpSocket::send_to(std::uint16_t port, const void* data,
   return sent == static_cast<ssize_t>(size);
 }
 
+void UdpSocket::wake_receivers() const {
+  // Linux reports ENOTCONN for an unconnected datagram socket but still
+  // marks the receive side shut and wakes blocked readers, so the result
+  // is deliberately ignored.
+  ::shutdown(fd_, SHUT_RD);
+}
+
 int UdpSocket::receive(void* buffer, std::size_t capacity) const {
   const ssize_t got = ::recvfrom(fd_, buffer, capacity, 0, nullptr, nullptr);
   if (got >= 0) return static_cast<int>(got);

@@ -9,9 +9,11 @@
 // a short kernel timeout (SO_RCVTIMEO) instead of blocking forever, so a
 // reader thread can observe a stop flag without needing self-addressed
 // wakeup datagrams — shutdown is then loss-proof by construction.
+// wake_receivers() cuts that wait short when a reader is being stopped.
 //
-// Thread-safety: send_to() and receive() are safe to call concurrently
-// from different threads (POSIX datagram sockets serialise per call); the
+// Thread-safety: send_to(), receive() and wake_receivers() are safe to
+// call concurrently from different threads (POSIX datagram sockets
+// serialise per call); the
 // port is fixed at construction. No mutable shared state lives here.
 #pragma once
 
@@ -48,6 +50,13 @@ class UdpSocket {
   // -1 on an unrecoverable socket error. Datagrams larger than `capacity`
   // are truncated by the kernel; callers size buffers to the wire header.
   int receive(void* buffer, std::size_t capacity) const;
+
+  // Shuts the receive side down (shutdown(SHUT_RD)): a receive() blocked
+  // in its poll interval returns 0 at once, and so does every later one
+  // once queued datagrams are drained. Sending still works. Where the
+  // platform ignores SHUT_RD on an unconnected socket, receive() still
+  // returns within kPollIntervalMs.
+  void wake_receivers() const;
 
  private:
   int fd_ = -1;

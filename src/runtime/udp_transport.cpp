@@ -52,8 +52,10 @@ void UdpTransport::start() {
 }
 
 void UdpTransport::stop() {
-  // Readers exit within one poll interval of the flag.
+  // Set the flag first, then wake each reader out of its receive() poll so
+  // it sees the flag now rather than one poll interval later.
   stop_readers_.store(true, std::memory_order_release);
+  for (auto& endpoint : endpoints_) endpoint.socket.wake_receivers();
   for (auto& endpoint : endpoints_) {
     if (endpoint.reader.joinable()) endpoint.reader.join();
   }
@@ -152,7 +154,7 @@ void UdpTransport::reader_main(std::size_t index) {
   Wire wire;
   while (!stop_readers_.load(std::memory_order_acquire)) {
     const int got = socket.receive(&wire, sizeof(wire));
-    if (got == 0) continue;  // poll interval elapsed; re-check stop flag
+    if (got == 0) continue;  // poll elapsed or woken; re-check stop flag
     if (got < 0) return;     // unrecoverable socket error (shutdown)
     if (static_cast<std::size_t>(got) != sizeof(Wire) ||
         wire.magic != Wire::kMagic) {

@@ -258,7 +258,6 @@ RuntimeConfig scenario_runtime_config(const ScenarioSpec& spec,
   config.processing = spec.processing;
   config.loss_probability = spec.failure.channel_loss();
   config.seed = seed;
-  config.equeue = spec.equeue;
   config.deadline = spec.deadline;
   config.time_scale_us = spec.thread_time_scale_us;
   config.wall_timeout_ms = spec.thread_wall_timeout_ms;

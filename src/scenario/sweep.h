@@ -11,9 +11,9 @@
 //
 // The JSON document (schema "abe-scenario-sweep-v7") carries the same
 // provenance metadata as the BENCH_*.json perf trajectory — git sha,
-// compiler, build type, thread count, the event-queue backend, plus the
-// execution runtime — so sweep results are attributable to a commit,
-// toolchain, scheduler and substrate; bench/validate_scenarios.py checks
+// compiler, build type, thread count, the event queue (always "heap"),
+// plus the execution runtime — so sweep results are attributable to a
+// commit, toolchain and substrate; bench/validate_scenarios.py checks
 // the structure (v2..v6 documents, which predate the runtime axis, the
 // adversary axes, the observability block, the causal block, and the udp
 // substrate respectively, are still accepted there). v4 added the
@@ -114,9 +114,6 @@ struct SweepRunMetadata {
   std::string git_sha = "unknown";
   std::string compiler = "unknown";
   std::string build_type = "unknown";
-  // CLI-level --equeue selection ("auto" unless overridden); each cell
-  // additionally records its own effective backend.
-  std::string equeue = "auto";
   // CLI-level --runtime selection ("sim" unless overridden); each cell
   // additionally records its own effective runtime.
   std::string runtime = "sim";
@@ -142,7 +139,7 @@ void write_sweep_json(std::ostream& os, const SweepRunMetadata& metadata,
 // Serialises one cell's critical-path aggregate as the JSON object the v6
 // "critical_path" field carries. Exposed (rather than folded into
 // write_sweep_json) so the golden test can pin the byte-exact rendering of
-// a fixed-seed cell across event-queue backends and thread counts.
+// a fixed-seed cell across thread counts.
 void append_critical_path_json(const CriticalPathAggregate& aggregate,
                                std::string* out);
 

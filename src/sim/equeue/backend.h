@@ -1,51 +1,23 @@
-// Event-queue backend selection for the scheduler.
+// A fixed stand-in for the event-queue selector the scheduler used to take.
 //
-// The enum is deliberately separated from the EventQueue interface so model
-// layers (NetworkConfig, experiment specs, scenario cells) can carry a
-// backend choice without pulling the queue implementations into their
-// headers.
-//
-// Selection rules (see also README "Event-queue backends"):
-//   * kAuto (the default) starts on the comparison heap and migrates to the
-//     calendar queue once the pending set crosses kEqueueAutoThreshold —
-//     small runs keep the heap's cache-tight behaviour, big sweeps get the
-//     calendar's O(1) amortized operations.
-//   * The ABE_EQUEUE environment variable ("heap", "calendar", "ladder",
-//     "auto") overrides EVERY construction-time choice, so a whole sweep
-//     binary can be re-run on a different backend without recompiling.
-//     Invalid values are ignored (same policy as ABE_TRIAL_THREADS).
-//   * Pop order is bit-identical across backends: every queue pops in
-//     strict packed (time-bits, seq) order, so backend choice is a pure
-//     performance knob — seeded trials produce identical traces.
+// The scheduler has one event queue, the 4-ary heap in heap_queue.h, so
+// there is nothing to select. This header exists only because the
+// end-to-end benchmark driver (e2ebench/driver.cpp) is built from frozen
+// source that still names EqueueBackend::kAuto, ScenarioSpec::equeue,
+// equeue_backend_name and resolve_equeue_backend. Nothing in src/ reads
+// them; the header goes when the benchmark driver next changes.
 #pragma once
-
-#include <string>
 
 namespace abe {
 
-enum class EqueueBackend : unsigned char {
-  kAuto,      // heap below kEqueueAutoThreshold pending, calendar above
-  kHeap,      // 4-ary comparison heap: O(log n), cache-tight at small n
-  kCalendar,  // calendar queue: O(1) amortized, needs roughly uniform times
-  kLadder,    // ladder queue: O(1) amortized, robust to heavy-tailed mixes
-};
+enum class EqueueBackend : unsigned char { kAuto };
 
-// Pending-set size at which kAuto migrates heap -> calendar. Chosen from
-// bench_e1/bench_e12: the heap still runs near its peak at 4k pending and
-// has clearly bent by 16k, so the switch sits between the two.
-inline constexpr std::size_t kEqueueAutoThreshold = 8192;
+inline const char* equeue_backend_name(EqueueBackend /*backend*/) {
+  return "heap";
+}
 
-// "auto", "heap", "calendar", "ladder".
-const char* equeue_backend_name(EqueueBackend backend);
-
-// Returns true and sets *backend when `name` is one of the names above;
-// returns false (leaving *backend untouched) otherwise — the validation
-// boundary for user input (CLI flags), where aborting is rude.
-bool equeue_backend_from_name(const std::string& name,
-                              EqueueBackend* backend);
-
-// Applies the ABE_EQUEUE override: returns the env backend when the
-// variable is set to a valid name, else `requested` unchanged.
-EqueueBackend resolve_equeue_backend(EqueueBackend requested);
+inline EqueueBackend resolve_equeue_backend(EqueueBackend requested) {
+  return requested;
+}
 
 }  // namespace abe

@@ -1,48 +1,75 @@
-// 4-ary min-heap backend: the scheduler's original priority structure,
-// extracted behavior-preserving from the pre-equeue Scheduler.
+// The scheduler's priority structure: a 4-ary min-heap over
+// (time-bits, seq, slot) entries.
+//
+// The scheduler owns the event *records* (slab of actions, generation
+// counts, EventId encoding — see sim/scheduler.h); the heap owns only the
+// ordering, so it is correct iff it pops entries in strict key order and
+// can remove an entry by its slot index.
+//
+// Key encoding: `time_bits` is the IEEE-754 bit pattern of a non-negative
+// SimTime (canonicalized by the scheduler so -0.0 never reaches the heap),
+// which orders identically to the double value. `seq` values are unique, so
+// the packed (time_bits, seq) key is a strict total order: FIFO among
+// simultaneous events, and one pop sequence per schedule/cancel trace.
 //
 // O(log n) push/pop/erase with a per-slot heap-position index so cancel
 // removes its entry directly — no lazy-deletion tombstones accumulate under
 // schedule/cancel churn. The 4-ary layout trades a slightly worse
 // comparison count for a much better cache profile than the binary heap,
 // and the pop path walks the min-child chain to a leaf before bubbling up
-// (see sift_down_from_root) — cheapest at the small-to-medium pending sizes
-// where this backend wins.
+// (see sift_down_from_root).
 //
-// Methods are defined inline in this header on purpose: the heap is the
-// default backend for every small simulation (elections at n <= a few
-// thousand), and the scheduler's devirtualized fast path (Scheduler's
-// fast_heap_) relies on these bodies being visible so pop/push/cancel
-// inline into the run loops exactly as they did before the subsystem
-// existed. The elections-per-second trajectory is the regression test.
+// Methods are defined inline in this header on purpose: pop/push/cancel
+// inline into the scheduler's run loops.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "sim/equeue/event_queue.h"
 #include "util/check.h"
 
 namespace abe {
 
-class HeapQueue final : public EventQueue {
+struct QueueEntry {
+  std::uint64_t time_bits = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t slot = 0;
+};
+
+// Strict total order on the packed (time_bits, seq) key.
+inline bool entry_earlier(const QueueEntry& a, const QueueEntry& b) {
+#if defined(__SIZEOF_INT128__)
+  using U128 = unsigned __int128;
+  return ((U128(a.time_bits) << 64) | a.seq) <
+         ((U128(b.time_bits) << 64) | b.seq);
+#else
+  if (a.time_bits != b.time_bits) return a.time_bits < b.time_bits;
+  return a.seq < b.seq;  // FIFO among simultaneous events
+#endif
+}
+
+class HeapQueue {
  public:
-  void push(const QueueEntry& entry) override {
+  // Inserts an entry. Slots are unique among live entries.
+  void push(const QueueEntry& entry) {
     const auto pos = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(entry);
     pos_of(entry.slot) = pos;
     place_up(entry, pos);
   }
 
-  const QueueEntry* peek_min() override {
+  // Minimum-key entry, or nullptr when empty. Valid until the next
+  // mutation.
+  const QueueEntry* peek_min() const {
     return heap_.empty() ? nullptr : &heap_[0];
   }
 
-  QueueEntry pop_min() override {
+  // Removes and returns the minimum-key entry. Pre: !empty().
+  QueueEntry pop_min() {
     ABE_CHECK(!heap_.empty());
     // pos_[top.slot] is left stale: erase_slot is only called for live
-    // slots (interface precondition), so nobody reads it again before the
-    // slot's next push overwrites it.
+    // slots (see below), so nobody reads it again before the slot's next
+    // push overwrites it.
     const QueueEntry top = heap_[0];
     const auto last = static_cast<std::uint32_t>(heap_.size()) - 1;
     if (last != 0) {
@@ -56,20 +83,21 @@ class HeapQueue final : public EventQueue {
     return top;
   }
 
-  bool erase_slot(std::uint32_t slot) override {
+  // Removes the entry whose slot is `slot` (cancellation). Pre: a live
+  // entry carries `slot` — the scheduler's slab checks liveness and
+  // generation first, which lets pop_min leave per-slot positions stale
+  // instead of paying a random write to clear them. Returns false only
+  // when the slot was never pushed or was already erased (a debugging aid,
+  // not a contract).
+  bool erase_slot(std::uint32_t slot) {
     if (slot >= pos_.size() || pos_[slot] == kNullPos) return false;
     heap_erase(pos_[slot]);
     pos_[slot] = kNullPos;
     return true;
   }
 
-  void drain_into(std::vector<QueueEntry>& out) override {
-    out.insert(out.end(), heap_.begin(), heap_.end());
-    heap_.clear();  // positions go stale; the next push of a slot overwrites
-  }
-
-  std::size_t size() const override { return heap_.size(); }
-  const char* name() const override { return "heap"; }
+  std::size_t size() const { return heap_.size(); }
+  bool empty() const { return heap_.empty(); }
 
  private:
   static constexpr std::uint32_t kNullPos = 0xffffffffu;

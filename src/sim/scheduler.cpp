@@ -6,34 +6,6 @@
 
 namespace abe {
 
-Scheduler::Scheduler(EqueueBackend requested) {
-  const EqueueBackend resolved = resolve_equeue_backend(requested);
-  if (resolved == EqueueBackend::kAuto) {
-    auto_backend_ = true;
-    queue_ = make_event_queue(EqueueBackend::kHeap);
-  } else {
-    queue_ = make_event_queue(resolved);
-  }
-  if (resolved == EqueueBackend::kAuto || resolved == EqueueBackend::kHeap) {
-    fast_heap_ = static_cast<HeapQueue*>(queue_.get());
-  }
-}
-
-void Scheduler::maybe_migrate() {
-  if (!auto_backend_ || q_size() <= kEqueueAutoThreshold) return;
-  // One-way migration: workloads that grow past the threshold have left the
-  // heap's sweet spot for good (shrinking back would thrash on workloads
-  // oscillating around the boundary). Pop order is unaffected — the entry
-  // set carries over and every backend pops in the same strict key order.
-  auto_backend_ = false;
-  fast_heap_ = nullptr;
-  std::vector<QueueEntry> entries;
-  entries.reserve(queue_->size());
-  queue_->drain_into(entries);
-  queue_ = make_event_queue(EqueueBackend::kCalendar);
-  for (const QueueEntry& e : entries) queue_->push(e);
-}
-
 EventId Scheduler::schedule_at(SimTime when, Action action) {
   ABE_CHECK_GE(when, now_);
   ABE_CHECK(static_cast<bool>(action)) << "scheduled action must be callable";
@@ -49,13 +21,10 @@ EventId Scheduler::schedule_at(SimTime when, Action action) {
   Slot& s = slots_[slot];
   s.action = std::move(action);
   s.live = true;
-  q_push(QueueEntry{time_to_bits(when), next_seq_, slot});
+  queue_.push(QueueEntry{time_to_bits(when), next_seq_, slot});
   ++next_seq_;
   ++scheduled_;
-  if (q_size() > queue_high_water_) queue_high_water_ = q_size();
-  // Threshold check inline; the out-of-line migration itself runs at most
-  // once per scheduler lifetime.
-  if (auto_backend_ && q_size() > kEqueueAutoThreshold) maybe_migrate();
+  if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
   return EventId{encode(slot, s.gen)};
 }
 
@@ -85,7 +54,7 @@ bool Scheduler::cancel(EventId id) {
   // Generation mismatch: the slot was reused by a newer event — this
   // handle's event is long gone; never touch the new occupant.
   if (!s.live || (s.gen & kGenMask) != gen) return false;
-  ABE_CHECK(q_erase(slot)) << "live slot missing from backend";
+  ABE_CHECK(queue_.erase_slot(slot)) << "live slot missing from the queue";
   release_slot(slot);
   ++cancelled_;
   return true;
@@ -104,7 +73,7 @@ void Scheduler::release_slot(std::uint32_t slot) {
 }
 
 void Scheduler::run_top() {
-  const QueueEntry top = q_pop();
+  const QueueEntry top = queue_.pop_min();
   const SimTime when = bits_to_time(top.time_bits);
   ABE_CHECK_GE(when, now_);
   now_ = when;
@@ -119,7 +88,7 @@ void Scheduler::run_top() {
 std::uint64_t Scheduler::run() {
   stop_requested_ = false;
   std::uint64_t n = 0;
-  while (!stop_requested_ && q_size() != 0) {
+  while (!stop_requested_ && !queue_.empty()) {
     run_top();
     ++n;
   }
@@ -132,7 +101,7 @@ std::uint64_t Scheduler::run_until(SimTime deadline) {
   stop_requested_ = false;
   std::uint64_t n = 0;
   while (!stop_requested_) {
-    const QueueEntry* top = q_peek();
+    const QueueEntry* top = queue_.peek_min();
     if (top == nullptr || top->time_bits > deadline_bits) break;
     run_top();
     ++n;
@@ -148,7 +117,7 @@ std::uint64_t Scheduler::run_until(SimTime deadline) {
 std::uint64_t Scheduler::run_steps(std::uint64_t max_events) {
   stop_requested_ = false;
   std::uint64_t n = 0;
-  while (n < max_events && !stop_requested_ && q_size() != 0) {
+  while (n < max_events && !stop_requested_ && !queue_.empty()) {
     run_top();
     ++n;
   }

@@ -258,7 +258,6 @@ RuntimeConfig beta_runtime_config(const Topology& topology,
   config.processing = environment.processing;
   config.loss_probability = environment.loss_probability;
   config.seed = seed;
-  config.equeue = environment.equeue;
   config.deadline = deadline;
   return config;
 }

@@ -216,11 +216,6 @@ TEST(RuntimeAxis, ProblemsAreStructuralAndNamedWithoutAborting) {
       << "wall clocks cannot wander piecewise";
   spec.drift = DriftModel::kNone;
 
-  spec.equeue = EqueueBackend::kLadder;
-  EXPECT_NE(runtime_cell_problem(spec), "")
-      << "the event queue is a simulator knob";
-  spec.equeue = EqueueBackend::kAuto;
-
   spec.topology.n = kMaxThreadRuntimeNodes + 1;
   EXPECT_NE(runtime_cell_problem(spec), "")
       << "one OS thread per node has a budget";
@@ -476,7 +471,7 @@ TEST(ScenarioSweep, JsonCarriesSchemaMetadataAndCells) {
   EXPECT_NE(json.find("\"trial_threads\": 4"), std::string::npos);
   EXPECT_NE(json.find("\"cell\": \"polling/torus-9/exponential/ideal/none\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"equeue\": \"auto\""), std::string::npos);
+  EXPECT_NE(json.find("\"equeue\": \"heap\""), std::string::npos);
   EXPECT_NE(json.find("\"runtime\": \"sim\""), std::string::npos);
   EXPECT_NE(json.find("\"stalled\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"behavior\": \"honest\""), std::string::npos);

@@ -5,10 +5,13 @@
 // calibration path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "net/delay.h"
 #include "net/message.h"
@@ -164,6 +167,33 @@ TEST(UdpNet, ArqOverRealLossDeliversExactlyOnce) {
   }
   EXPECT_GT(attempt_drops, 0.0);
   EXPECT_GT(retransmits, 0.0);
+}
+
+// stop() wakes every reader out of its receive() poll, so shutting an idle
+// udp runtime down costs thread joins, not a poll interval. The readers are
+// ~2 ms into their first poll when stop() runs: a stop that waited the poll
+// out would take ~18 ms, against a bound of half the interval.
+TEST(UdpNet, StopOfIdleRuntimeDoesNotWaitOutThePollInterval) {
+  std::vector<double> stop_ms;
+  for (int rep = 0; rep < 5; ++rep) {
+    RuntimeConfig config;
+    config.topology = unidirectional_ring(8);
+    config.delay = fixed_delay(1.0);
+    ThreadedRuntime net(RuntimeKind::kUdp, std::move(config));
+    net.build_nodes(
+        [](std::size_t) -> NodePtr { return std::make_unique<CountingSink>(); });
+    net.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const auto t0 = std::chrono::steady_clock::now();
+    net.stop();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  EXPECT_LT(stop_ms[stop_ms.size() / 2], UdpSocket::kPollIntervalMs / 2.0)
+      << "median stop() of an idle udp runtime, ms (min " << stop_ms.front()
+      << ", max " << stop_ms.back() << ")";
 }
 
 // ---------------------------------------------------------------------
